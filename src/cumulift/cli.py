@@ -28,7 +28,6 @@ from .parsers import InstanceFormat, detect_format, parse_instance
 from .polyhedral import LiftedInequality, check_validity_bruteforce
 from .report import (
     ReportFormat,
-    emit_model_fragment,
     emit_report,
     export_parallelism_graph,
     fragment_from_report,
@@ -109,8 +108,13 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _load_instance(path: str, fmt_name: Optional[str]) -> SchedulingInstance:
@@ -201,18 +205,10 @@ def _cmd_check(args) -> int:
 def _cmd_emit(args) -> int:
     instance = _load_instance(args.instance, args.format)
     if args.report:
-        fragment = fragment_from_report(instance, parse_report(_read(args.report)))
+        report = parse_report(_read(args.report))
     else:
         report = run_pipeline(instance, _config_from_args(args))
-        column_of = {task_id: col for col, task_id in enumerate(report.task_map)}
-        inferred = []
-        for constraint in report.constraints:
-            coeffs = [0] * len(report.task_map)
-            for task_id, usage in constraint.usages:
-                coeffs[column_of[task_id]] = usage
-            inferred.append(LiftedInequality(tuple(coeffs), constraint.capacity))
-        fragment = emit_model_fragment(instance, inferred)
-    _write_output(fragment, args.out)
+    _write_output(fragment_from_report(instance, report), args.out)
     return 0
 
 

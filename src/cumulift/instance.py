@@ -185,6 +185,21 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _objects(doc: dict, key: str, what: str) -> list:
+    """The array under ``key`` (empty if absent); every entry must be an object."""
+    entries = _require_array(doc.get(key, []), repr(key))
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise MalformedInput(f"{what} {i} must be a JSON object, got {type(entry).__name__}")
+    return entries
+
+
 def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
     """Parse the canonical JSON document back into an instance."""
     try:
@@ -199,9 +214,10 @@ def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
         raise MalformedInput(f"unknown kind {doc.get('kind')!r}") from None
 
     tasks = []
-    for i, entry in enumerate(doc.get("tasks", [])):
+    for i, entry in enumerate(_objects(doc, "tasks", "task")):
         demands = tuple(
-            _require_int(d, f"task {i} demand") for d in entry.get("demands", [])
+            _require_int(d, f"task {i} demand")
+            for d in _require_array(entry.get("demands", []), f"task {i} demands")
         )
         tasks.append(
             Task(id=i, duration=_require_int(entry.get("duration"), f"task {i} duration"),
@@ -209,7 +225,7 @@ def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
         )
     resources = [
         Resource(id=r, capacity=_require_int(entry.get("capacity"), f"resource {r} capacity"))
-        for r, entry in enumerate(doc.get("resources", []))
+        for r, entry in enumerate(_objects(doc, "resources", "resource"))
     ]
     precedences = [
         PrecedenceArc(
@@ -217,7 +233,7 @@ def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
             to_task=_require_int(entry.get("to"), "precedence 'to'"),
             offset=_require_int(entry.get("offset"), "precedence offset"),
         )
-        for entry in doc.get("precedences", [])
+        for entry in _objects(doc, "precedences", "precedence")
     ]
     horizon = doc.get("horizon")
     if horizon is not None:

@@ -17,9 +17,9 @@ variable counts, past the default recursion limit.
 
 :class:`IncrementalLiftSolver` is the engine-facing entry point: it keeps
 the growing variable set of one lifting run and answers a value query per
-reduced rhs vector.  It is the same exact search, but backed by per-row
-knapsack DP tables maintained incrementally, which cap and usually end the
-search immediately.
+reduced rhs vector from Pareto frontiers of demand vectors, one per
+objective value.  Should a frontier outgrow its limit, queries go to
+:func:`solve` over the current variable set instead.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ def _descend(
     node_bound: Callable[[int, List[int], Sequence[int], int], int],
     target: Optional[int],
     stop_value: Optional[int],
-    seed_value: int = 0,
 ) -> Tuple[int, Tuple[int, ...]]:
     """Include-first iterative DFS over decision levels.
 
@@ -132,16 +131,12 @@ def _descend(
     optimization mode (``stop_value`` is None) returns the best value found,
     stopping early once ``target`` is met; in reconstruction mode returns
     the first assignment worth exactly ``stop_value``.
-
-    ``seed_value`` is a known-achievable value used purely for pruning; if
-    nothing in the tree beats it, it is returned with an empty assignment,
-    so callers passing a nonzero seed must not rely on the witness.
     """
     m = len(rows)
     p = len(weights)
     remaining = list(rhs)
     chosen: List[int] = []
-    best_value = seed_value if stop_value is None else 0
+    best_value = 0
     best_chosen: Tuple[int, ...] = ()
     # Frame: [level, value, undo position or None, phase]
     frames = [[0, 0, None, 0]]
@@ -373,19 +368,16 @@ class IncrementalLiftSolver:
     exceeding the original rhs are unusable for every query and are
     dropped.
 
-    Should a frontier outgrow ``pareto_limit``, the solver falls back to
-    the same exact branch-and-bound as :func:`solve`, bounded per row by
-    incremental single-row knapsack tables.
+    Should a frontier outgrow ``pareto_limit``, the frontiers are dropped
+    and every later query is answered by :func:`solve` over the support.
     """
 
-    def __init__(self, rhs: Sequence[int], max_vars: int, value_cap: int,
-                 pareto_limit: int = 3000):
+    def __init__(self, rhs: Sequence[int], value_cap: int, pareto_limit: int = 3000):
         self.rhs = [int(r) for r in rhs]
         self.m = len(self.rhs)
         self.value_cap = value_cap
-        self.count = 0
-        self.weights = np.zeros(max_vars, dtype=np.int64)
-        self.columns = np.zeros((self.m, max_vars), dtype=np.int64)
+        self.weights: List[int] = []
+        self.rows: List[List[int]] = [[] for _ in range(self.m)]
         self._memo: Dict[Tuple[int, ...], Optional[int]] = {}
         self._rhs_np = np.asarray(self.rhs, dtype=np.int64)
         self._pareto_limit = pareto_limit
@@ -394,22 +386,14 @@ class IncrementalLiftSolver:
             np.zeros((1, self.m), dtype=np.int64) if v == 0 else empty
             for v in range(value_cap + 1)
         ]
-        # Fallback state: per-row single-row knapsack tables.
-        self._dp = [np.zeros(r + 1, dtype=np.int64) for r in self.rhs]
-        self._dp_lists: List[List[int]] = [t.tolist() for t in self._dp]
-        # Values survive support growth as lower bounds: adding variables
-        # can only raise an optimum.
-        self._floor: Dict[Tuple[int, ...], int] = {}
 
     def add_variable(self, weight: int, column: Sequence[int]) -> None:
         """Grow the support by one variable with the given per-row demands."""
         if not 0 < weight <= self.value_cap:
             raise ValueError("support weights must lie in 1..value_cap")
-        k = self.count
-        self.weights[k] = weight
-        for j in range(self.m):
-            self.columns[j, k] = int(column[j])
-        self.count = k + 1
+        self.weights.append(weight)
+        for row, a in zip(self.rows, column):
+            row.append(int(a))
         self._memo.clear()
 
         if self._fronts is not None:
@@ -435,17 +419,6 @@ class IncrementalLiftSolver:
             # A column exceeding the rhs somewhere can never be packed and
             # leaves the frontiers unchanged.
 
-        for j in range(self.m):
-            a = int(column[j])
-            table = self._dp[j]
-            if a == 0:
-                table += weight
-            elif a <= self.rhs[j]:
-                np.maximum(table[a:], table[:-a] + weight, out=table[a:])
-            # a > rhs[j]: the variable never fits this row alone, but other
-            # rows may still admit it, so the row table just ignores it.
-        self._dp_lists = [t.tolist() for t in self._dp]
-
     def max_value(self, reduced: Sequence[int], stop_at: int) -> Tuple[Optional[int], bool]:
         """Exact optimum under the reduced rhs vector, memoized.
 
@@ -462,7 +435,7 @@ class IncrementalLiftSolver:
     def _compute(self, reduced: Tuple[int, ...], stop_at: int) -> Optional[int]:
         if any(r < 0 for r in reduced):
             return None
-        if self.count == 0:
+        if not self.weights:
             return 0
         if self._fronts is not None:
             red = np.asarray(reduced, dtype=np.int64)
@@ -471,89 +444,5 @@ class IncrementalLiftSolver:
                 if len(front) and bool(np.all(front <= red, axis=1).any()):
                     return v
             return 0
-        return self._branch_and_bound(reduced, stop_at)
-
-    def _branch_and_bound(self, reduced: Tuple[int, ...], stop_at: int) -> int:
-        cols = self.columns[:, : self.count]
-        target = stop_at
-        for j in range(self.m):
-            cap = self._dp_lists[j][reduced[j]]
-            if cap < target:
-                target = cap
-        if target <= 0:
-            return 0
-        lower = self._floor.get(reduced, 0)
-        if lower >= target:
-            return lower
-        mask = np.all(cols <= np.asarray(reduced, dtype=np.int64)[:, None], axis=0)
-        usable = np.flatnonzero(mask)
-        if usable.size == 0:
-            return 0
-        if target == 1:
-            # Any usable variable has weight >= 1 and the cap proves <= 1.
-            return 1
-        w_arr = self.weights[usable].tolist()
-        a_arr = cols[:, usable].tolist()
-        p = len(w_arr)
-        m = self.m
-        order = sorted(
-            range(p),
-            key=lambda pos: (
-                _ratio_rank(w_arr[pos], max(a_arr[j][pos] for j in range(m))),
-                pos,
-            ),
-        )
-        w_sorted = [w_arr[pos] for pos in order]
-        a_sorted = [[a_arr[j][pos] for pos in order] for j in range(m)]
-        suffix = [0] * (p + 1)
-        for pos in range(p - 1, -1, -1):
-            suffix[pos] = suffix[pos + 1] + w_sorted[pos]
-
-        # Node bound: per row, an exact 0/1-knapsack table over only the
-        # still-undecided suffix of the branching order, so the bound decays
-        # with depth.  Built lazily; searches that stop on their first
-        # incumbent never pay for it.
-        tables: List[List[List[int]]] = []
-
-        def build_tables() -> None:
-            level_tables = [[0] * (reduced[j] + 1) for j in range(m)]
-            tables.append(level_tables)
-            for pos in range(p - 1, -1, -1):
-                weight = w_sorted[pos]
-                previous = tables[-1]
-                fresh = []
-                for j in range(m):
-                    old = previous[j]
-                    a = a_sorted[j][pos]
-                    if a == 0:
-                        new = [v + weight for v in old]
-                    elif a <= reduced[j]:
-                        new = old.copy()
-                        for c in range(a, reduced[j] + 1):
-                            candidate = old[c - a] + weight
-                            if candidate > new[c]:
-                                new[c] = candidate
-                    else:
-                        new = old
-                    fresh.append(new)
-                tables.append(fresh)
-            tables.reverse()  # tables[level][j][capacity]
-
-        def suffix_dp_bound(level: int, remaining: List[int], rank, cheap: int) -> int:
-            if not tables:
-                build_tables()
-            by_row = tables[level]
-            out = cheap
-            for j in range(m):
-                value = by_row[j][remaining[j]]
-                if value < out:
-                    out = value
-            return out
-
-        identity = list(range(p))
-        best, _ = _descend(
-            w_sorted, a_sorted, list(reduced), identity, identity, suffix,
-            suffix_dp_bound, target, None, seed_value=lower,
-        )
-        self._floor[reduced] = best
-        return best
+        sub = LiftingSubproblem(tuple(self.weights), tuple(map(tuple, self.rows)), reduced)
+        return solve(sub, stop_at=min(stop_at, self.value_cap), lexmin_witness=False).value

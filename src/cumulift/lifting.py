@@ -32,7 +32,6 @@ from .report import (
     ReportConstraint,
     compute_searchless_lb,
     precedence_path_lb,
-    row_capacity_lb,
 )
 
 
@@ -130,7 +129,7 @@ def _lift(
     # Only positive-coefficient columns can raise the subproblem objective,
     # so the solver tracks exactly those; values repeat per rhs vector and
     # are memoized inside it.
-    solver = IncrementalLiftSolver(rhs, max_vars=n, value_cap=max(pi0, 1))
+    solver = IncrementalLiftSolver(rhs, value_cap=max(pi0, 1))
     for i in sorted(cover.members):
         coeffs[i] = 1
         solver.add_variable(1, columns[i])
@@ -255,7 +254,7 @@ def run_pipeline(
         searchless_lb=lb,
         certificate=certificate,
         precedence_lb=precedence_path_lb(instance),
-        row_lb=row_capacity_lb(system),
+        row_lb=compute_searchless_lb(system, ())[0],
         infeasible_tasks=tuple(system.task_map[c] for c in stats.infeasible_columns),
         stats=stats.to_dict(),
     )

@@ -86,18 +86,6 @@ def compute_searchless_lb(
     return best, certificate
 
 
-def row_capacity_lb(system: DemandSystem) -> int:
-    """Best capacity lower bound over the original rows alone."""
-    best = 0
-    for r in range(system.n_rows):
-        rhs = int(system.rhs[r])
-        if rhs == 0:
-            continue
-        row = LiftedInequality(tuple(int(a) for a in system.matrix[r]), rhs)
-        best = max(best, capacity_lb(row, system.durations))
-    return best
-
-
 def precedence_path_lb(instance: SchedulingInstance) -> int:
     """Longest accumulated offset reachable in the precedence digraph.
 
@@ -211,33 +199,40 @@ def parse_report(text: str) -> InferenceReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid report JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInput("a report must be a JSON object")
     if doc.get("schema") != REPORT_SCHEMA:
         raise MalformedInput(f"unknown report schema {doc.get('schema')!r}")
-    constraints = [
-        ReportConstraint(
-            usages=tuple((int(t), int(u)) for t, u in entry["usages"]),
-            capacity=int(entry["capacity"]),
-            bound=Fraction(entry["capacity_bound"]),
-            bound_int=int(entry["capacity_lb"]),
-            source_cover=tuple(int(t) for t in entry["source_cover"]),
-            rule=str(entry["rule"]),
-            verified=entry.get("verified"),
+    try:
+        constraints = [
+            ReportConstraint(
+                usages=tuple((int(t), int(u)) for t, u in entry["usages"]),
+                capacity=int(entry["capacity"]),
+                bound=Fraction(entry["capacity_bound"]),
+                bound_int=int(entry["capacity_lb"]),
+                source_cover=tuple(int(t) for t in entry["source_cover"]),
+                rule=str(entry["rule"]),
+                verified=entry.get("verified"),
+            )
+            for entry in doc.get("constraints", [])
+        ]
+        cert = doc.get("searchless_certificate")
+        return InferenceReport(
+            instance_name=doc.get("instance", ""),
+            config=doc.get("config", {}),
+            task_map=tuple(int(t) for t in doc.get("task_map", [])),
+            constraints=constraints,
+            searchless_lb=int(doc["searchless_lb"]),
+            certificate=None if cert is None else (str(cert["kind"]), int(cert["index"])),
+            precedence_lb=int(doc.get("precedence_lb", 0)),
+            row_lb=int(doc.get("row_lb", 0)),
+            infeasible_tasks=tuple(int(t) for t in doc.get("infeasible_tasks", [])),
+            stats=doc.get("stats", {}),
         )
-        for entry in doc.get("constraints", [])
-    ]
-    cert = doc.get("searchless_certificate")
-    return InferenceReport(
-        instance_name=doc.get("instance", ""),
-        config=doc.get("config", {}),
-        task_map=tuple(int(t) for t in doc.get("task_map", [])),
-        constraints=constraints,
-        searchless_lb=int(doc["searchless_lb"]),
-        certificate=None if cert is None else (str(cert["kind"]), int(cert["index"])),
-        precedence_lb=int(doc.get("precedence_lb", 0)),
-        row_lb=int(doc.get("row_lb", 0)),
-        infeasible_tasks=tuple(int(t) for t in doc.get("infeasible_tasks", [])),
-        stats=doc.get("stats", {}),
-    )
+    except KeyError as exc:
+        raise MalformedInput(f"report field {exc} is missing") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed report: {exc}") from exc
 
 
 # --- model fragments and graphs ---------------------------------------------

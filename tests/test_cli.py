@@ -58,11 +58,34 @@ class TestInfer:
         code, _, err = run_cli(capsys, [])
         assert code == 1
 
-    def test_malformed_input_maps_to_2(self, capsys, tmp_path):
-        path = tmp_path / "broken.sm"
-        path.write_text("this is not an instance")
-        code, _, _ = run_cli(capsys, ["infer", str(path)])
+    @pytest.mark.parametrize(
+        "command, filename, content",
+        [
+            ("infer", "broken.sm", b"this is not an instance"),
+            ("infer", "latin1.sm", "Vorgang \u00c4".encode("latin-1")),
+            ("infer", "task.json", json.dumps({"tasks": [5]}).encode()),
+            ("infer", "resource.json", json.dumps({"resources": [5]}).encode()),
+            ("infer", "precedence.json", json.dumps({"precedences": ["x"]}).encode()),
+            ("check", "report.json", json.dumps({
+                "schema": "cumulift-report/1",
+                "constraints": [{"capacity": 1}],
+                "searchless_lb": 0,
+            }).encode()),
+        ],
+        ids=["garbage-sm", "non-utf8", "task-not-object", "resource-not-object",
+             "precedence-not-object", "report-without-usages"],
+    )
+    def test_malformed_input_maps_to_2(self, capsys, tmp_path, sm_path,
+                                       command, filename, content):
+        path = tmp_path / filename
+        path.write_bytes(content)
+        argv = [command, str(path)]
+        if command == "check":
+            argv += ["--instance", sm_path]
+        code, _, err = run_cli(capsys, argv)
         assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_maps_to_2(self, capsys):
         code, _, _ = run_cli(capsys, ["infer", "/nonexistent/file.sm"])
@@ -108,6 +131,8 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.count("constraint cumulative(") == out.count("\n")
+        _, rerun, _ = run_cli(capsys, ["emit", sm_path])
+        assert out == rerun
 
     def test_check_accepts_valid_report(self, capsys, sm_path, tmp_path):
         report_path = tmp_path / "report.json"

@@ -123,19 +123,19 @@ class TestOracleEquivalence:
 class TestIncrementalSolver:
     def test_matches_bruteforce_under_value_cap(self):
         rng = np.random.default_rng(34)
-        checked = 0
+        checked = fallback_checked = 0
         for _ in range(150):
             m = int(rng.integers(1, 4))
             rhs = [int(rng.integers(0, 14)) for _ in range(m)]
             value_cap = int(rng.integers(1, 8))
-            # A tiny pareto_limit forces the branch-and-bound fallback.
-            limit = int(rng.choice([2, 3000]))
-            solver = IncrementalLiftSolver(rhs, max_vars=12, value_cap=value_cap,
-                                           pareto_limit=limit)
+            # A pareto_limit of 1 makes multi-row frontiers overflow, so
+            # later queries go to solve().
+            limit = int(rng.choice([1, 3000]))
+            solver = IncrementalLiftSolver(rhs, value_cap=value_cap, pareto_limit=limit)
             weights, cols = [], []
             for _ in range(int(rng.integers(1, 11))):
                 w = int(rng.integers(1, value_cap + 1))
-                col = [int(rng.integers(0, 16)) for _ in range(m)]
+                col = [int(rng.integers(0, 8)) for _ in range(m)]
                 solver.add_variable(w, col)
                 weights.append(w)
                 cols.append(col)
@@ -146,11 +146,13 @@ class TestIncrementalSolver:
                     continue  # outside the solver's contract
                 got, _ = solver.max_value(reduced, stop_at=value_cap)
                 checked += 1
+                fallback_checked += solver._fronts is None
                 assert got == (None if expected is None else expected[0])
         assert checked > 300
+        assert fallback_checked > 20
 
     def test_memo_reports_cache_hits(self):
-        solver = IncrementalLiftSolver([5], max_vars=3, value_cap=2)
+        solver = IncrementalLiftSolver([5], value_cap=2)
         solver.add_variable(1, [2])
         value, fresh = solver.max_value([3], stop_at=2)
         assert (value, fresh) == (1, True)

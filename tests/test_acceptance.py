@@ -6,6 +6,7 @@ instance #4 and is skipped when it is not available (see README).
 """
 
 import glob
+import hashlib
 import json
 import os
 import time
@@ -21,6 +22,7 @@ from cumulift.knapsack import INFEASIBLE, LiftingSubproblem, solve
 from cumulift.lifting import LiftingConfig, infer_constraints, lift_cover, run_pipeline
 from cumulift.parsers import InstanceFormat, parse_instance
 from cumulift.polyhedral import Cover, capacity_lb, check_validity_bruteforce
+from cumulift.report import emit_report
 
 from conftest import (
     enumerate_feasible_starts,
@@ -218,21 +220,27 @@ def test_criterion_7_disjunctive_only_mode():
         assert generated["long_max"] == 0 and generated["long_min"] == 0
 
 
+# sha256 of the JSON report of ``synthetic_project(n, seed=0)`` under the
+# default config.  A change to these is a change to the reports.
+GOLDEN_REPORT_SHA256 = {
+    200: "9c55b189e9944ef0934f4be0569698f3fc0107d50d260aa8bd3ba4114090ebe7",
+    1000: "9d5ba92d843599595f862a9dd71345dadf653f78beb8f61538c32a703d3e14bd",
+}
+
+
 def test_criterion_8_performance_envelope():
     with verdict("criterion 8: preprocessing fits 60 s at 200 tasks and 10 min at "
-                 "1000 tasks"):
-        instance = synthetic_project(200, seed=0)
-        started = time.perf_counter()
-        run_pipeline(instance, LiftingConfig())
-        small = time.perf_counter() - started
-        assert small < 60, f"200 tasks took {small:.1f} s"
-
-        instance = synthetic_project(1000, seed=0)
-        started = time.perf_counter()
-        run_pipeline(instance, LiftingConfig())
-        large = time.perf_counter() - started
-        assert large < 600, f"1000 tasks took {large:.1f} s"
-        print(f"  200 tasks: {small:.1f} s; 1000 tasks: {large:.1f} s")
+                 "1000 tasks, with golden reports"):
+        elapsed = {}
+        for n, limit in ((200, 60), (1000, 600)):
+            instance = synthetic_project(n, seed=0)
+            started = time.perf_counter()
+            report = run_pipeline(instance, LiftingConfig())
+            elapsed[n] = time.perf_counter() - started
+            assert elapsed[n] < limit, f"{n} tasks took {elapsed[n]:.1f} s"
+            digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+            assert digest == GOLDEN_REPORT_SHA256[n], f"{n}-task report changed"
+        print(f"  200 tasks: {elapsed[200]:.1f} s; 1000 tasks: {elapsed[1000]:.1f} s")
 
 
 def test_criterion_9_byte_identical_reports(tmp_path, capsys):

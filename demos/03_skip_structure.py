@@ -19,8 +19,8 @@ system = DemandSystem(
     task_map=tuple(range(10)),
 )
 
-batch = seed_covers(system)
-selected = select_top_covers(batch, system.durations, 100)
+covers = seed_covers(system)
+selected = select_top_covers(covers, system.durations, 100)
 print(f"seed covers: {len(selected)} (all pairs of 10 tasks)")
 
 kept, stats = infer_constraints(system, selected, LiftingConfig())

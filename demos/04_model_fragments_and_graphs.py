@@ -8,31 +8,20 @@ complement of pairwise disjointness.
 
 from cumulift import (
     InstanceFormat,
-    LiftedInequality,
     LiftingConfig,
-    emit_model_fragment,
     export_parallelism_graph,
     parse_instance,
     run_pipeline,
     to_demand_system,
 )
 from cumulift.fixtures import FIXTURE_RCP
+from cumulift.report import fragment_from_report
 
 instance = parse_instance(FIXTURE_RCP, InstanceFormat.PATTERSON_RCP, name="fixture")
 report = run_pipeline(instance, LiftingConfig())
 
-# Rebuild column-space inequalities from the report's sparse usages.
-system = to_demand_system(instance)
-column_of = {task: col for col, task in enumerate(system.task_map)}
-inferred = []
-for c in report.constraints:
-    coeffs = [0] * system.n_cols
-    for task, usage in c.usages:
-        coeffs[column_of[task]] = usage
-    inferred.append(LiftedInequality(tuple(coeffs), c.capacity))
-
 print("MiniZinc fragment (arrays in original task order, dummies get usage 0):")
-print(emit_model_fragment(instance, inferred))
+print(fragment_from_report(instance, report))
 
 print("parallelism graph (edge = the pair fits together on every resource):")
-print(export_parallelism_graph(system))
+print(export_parallelism_graph(to_demand_system(instance)))

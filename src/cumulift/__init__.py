@@ -8,8 +8,6 @@ makespan lower bounds they certify.
 """
 
 from .covers import (
-    CoverBatch,
-    GenerationRule,
     enumerate_long_covers,
     enumerate_short_covers,
     seed_covers,
@@ -66,7 +64,6 @@ from .report import (
     ReportConstraint,
     ReportFormat,
     compute_searchless_lb,
-    emit_model_fragment,
     emit_report,
     export_parallelism_graph,
     parse_report,

@@ -32,7 +32,6 @@ from .report import (
     export_parallelism_graph,
     fragment_from_report,
     parse_report,
-    precedence_path_lb,
 )
 
 

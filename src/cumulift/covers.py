@@ -7,66 +7,33 @@ longest task k outside the pair whose demand exceeds the slack
 demand v and take the k longest / k shortest of a group, with k the
 smallest count for which k*v exceeds the capacity.
 
-Only short covers compete for the ``n_cover`` budget; long covers are
+Every function returns a plain list holding the first cover found for each
+member set, in generation order; ``Cover.rule`` names the rule that found
+it.  Only short covers compete for the ``n_cover`` budget; long covers are
 appended after the cut.  All tie-breaks are by lowest column index so the
 output is reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .instance import DemandSystem
 from .polyhedral import Cover
 
-
-class GenerationRule(str, Enum):
-    BINARY = "binary"
-    TERNARY = "ternary"
-    LONG_MAX = "long_max"
-    LONG_MIN = "long_min"
+# Generation rules in the order the stats list them; the first two are short.
+RULES = ("binary", "ternary", "long_max", "long_min")
+SHORT_RULES = RULES[:2]
 
 
-SHORT_RULES = (GenerationRule.BINARY, GenerationRule.TERNARY)
-LONG_RULES = (GenerationRule.LONG_MAX, GenerationRule.LONG_MIN)
-
-
-@dataclass
-class CoverBatch:
-    """Deduplicated covers in generation order, tagged with their rule."""
-
-    covers: List[Cover] = field(default_factory=list)
-    _seen: set = field(default_factory=set, repr=False)
-
-    def add(self, members: Tuple[int, ...], row: int, rule: GenerationRule) -> bool:
-        """Append unless an identical member set was added before."""
-        if members in self._seen:
-            return False
-        self._seen.add(members)
-        self.covers.append(Cover(members=members, source_row=row, rule=rule.value))
-        return True
-
-    def merge(self, other: "CoverBatch") -> "CoverBatch":
-        for cover in other.covers:
-            self.add(cover.members, cover.source_row, GenerationRule(cover.rule))
-        return self
-
-    def counts(self) -> Dict[str, int]:
-        out = {rule.value: 0 for rule in GenerationRule}
-        for cover in self.covers:
-            out[cover.rule] += 1
-        return out
-
-    def __iter__(self):
-        return iter(self.covers)
-
-    def __len__(self) -> int:
-        return len(self.covers)
+def _first_per_member_set(covers: Iterable[Cover]) -> List[Cover]:
+    """Drop every cover whose member set an earlier cover already has."""
+    unique: Dict[Tuple[int, ...], Cover] = {}
+    for cover in covers:
+        unique.setdefault(cover.members, cover)
+    return list(unique.values())
 
 
 def _prefix_top3(order: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -86,24 +53,21 @@ def _prefix_top3(order: np.ndarray, durations: np.ndarray) -> np.ndarray:
     return top3
 
 
-def enumerate_short_covers(system: DemandSystem, include_ternary: bool = True) -> CoverBatch:
+def enumerate_short_covers(system: DemandSystem, include_ternary: bool = True) -> List[Cover]:
     """All binary covers plus the completed ternary covers, row by row."""
-    batch = CoverBatch()
     durations = system.durations
     n = system.n_cols
     if n < 2:
-        return batch
+        return []
     i_idx, j_idx = np.triu_indices(n, 1)
+    covers: List[Cover] = []
     for row in range(system.n_rows):
         a = system.matrix[row]
         b = int(system.rhs[row])
         pair_sums = a[i_idx] + a[j_idx]
         covering = pair_sums > b
-
-        slots: List[Optional[Tuple[int, ...]]] = [None] * i_idx.size
-        rules: List[GenerationRule] = [GenerationRule.BINARY] * i_idx.size
-        for pos in np.flatnonzero(covering):
-            slots[pos] = (int(i_idx[pos]), int(j_idx[pos]))
+        # The task completing each pair to a ternary cover, or -1 for none.
+        third = np.full(i_idx.size, -1, dtype=np.int64)
 
         if include_ternary:
             # Demand-descending order; the eligible set for a slack t is a
@@ -122,24 +86,23 @@ def enumerate_short_covers(system: DemandSystem, include_ternary: bool = True) -
                 valid = (cand >= 0) & (cand != ii[:, None]) & (cand != jj[:, None])
                 has = valid.any(axis=1)
                 first = np.argmax(valid, axis=1)
-                for sel in np.flatnonzero(has):
-                    pos = int(non_pos[sel])
-                    k = int(cand[sel, first[sel]])
-                    slots[pos] = tuple(sorted((int(ii[sel]), int(jj[sel]), k)))
-                    rules[pos] = GenerationRule.TERNARY
+                third[non_pos[has]] = cand[has, first[has]]
 
-        for pos, members in enumerate(slots):
-            if members is not None:
-                batch.add(members, row, rules[pos])
-    return batch
+        kept = np.flatnonzero(covering | (third >= 0))
+        for i, j, k in zip(i_idx[kept].tolist(), j_idx[kept].tolist(), third[kept].tolist()):
+            if k < 0:
+                covers.append(Cover((i, j), row, "binary"))
+            else:
+                covers.append(Cover(tuple(sorted((i, j, k))), row, "ternary"))
+    return _first_per_member_set(covers)
 
 
 def enumerate_long_covers(
     system: DemandSystem, max_cardinality: Optional[int] = None
-) -> CoverBatch:
+) -> List[Cover]:
     """Uniform-demand covers: per demand value v, the k longest and k shortest."""
-    batch = CoverBatch()
     durations = system.durations
+    covers: List[Cover] = []
     for row in range(system.n_rows):
         a = system.matrix[row]
         b = int(system.rhs[row])
@@ -153,44 +116,42 @@ def enumerate_long_covers(
             dgrp = durations[group]
             longest = group[np.lexsort((group, -dgrp))[:k]]
             shortest = group[np.lexsort((group, dgrp))[:k]]
-            batch.add(tuple(sorted(int(c) for c in longest)), row, GenerationRule.LONG_MAX)
-            batch.add(tuple(sorted(int(c) for c in shortest)), row, GenerationRule.LONG_MIN)
-    return batch
-
-
-def cover_capacity_bound(cover: Cover, durations: Sequence[int]) -> Fraction:
-    """Capacity bound of the plain cover inequality (indicator, |C| - 1)."""
-    return Fraction(
-        sum(int(durations[i]) for i in cover.members), len(cover.members) - 1
-    )
+            covers.append(Cover(tuple(sorted(longest.tolist())), row, "long_max"))
+            covers.append(Cover(tuple(sorted(shortest.tolist())), row, "long_min"))
+    return _first_per_member_set(covers)
 
 
 def select_top_covers(
-    batch: CoverBatch, durations: Sequence[int], limit: int
+    covers: Sequence[Cover], durations: Sequence[int], limit: int
 ) -> List[Cover]:
     """Rank short covers by capacity bound, keep ``limit``, append long covers.
 
-    Sorting is stable, so equal bounds keep generation order.
+    The capacity bound of a cover inequality is ``sum(d) / (|C| - 1)``.  A
+    short cover has two or three members, so twice the bound is the integer
+    ``2 * sum(d) // (|C| - 1)`` and ranks them exactly.  Sorting is stable,
+    so equal bounds keep generation order.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    short_tags = {r.value for r in SHORT_RULES}
-    shorts = [c for c in batch if c.rule in short_tags]
-    longs = [c for c in batch if c.rule not in short_tags]
-    shorts.sort(key=lambda c: cover_capacity_bound(c, durations), reverse=True)
+    d = np.asarray(durations).tolist()
+    shorts = [c for c in covers if c.rule in SHORT_RULES]
+    longs = [c for c in covers if c.rule not in SHORT_RULES]
+    shorts.sort(
+        key=lambda c: 2 * sum(d[i] for i in c.members) // (len(c.members) - 1),
+        reverse=True,
+    )
     return shorts[:limit] + longs
 
 
 def seed_covers(
     system: DemandSystem, max_cardinality: Optional[int] = None
-) -> CoverBatch:
+) -> List[Cover]:
     """Run both enumeration rules, honoring a cardinality cap.
 
     A cap of 2 is disjunctive-only mode: no ternary completion and no long
     covers at all.
     """
-    include_ternary = max_cardinality is None or max_cardinality >= 3
-    batch = enumerate_short_covers(system, include_ternary=include_ternary)
-    if max_cardinality is None or max_cardinality >= 3:
-        batch.merge(enumerate_long_covers(system, max_cardinality=max_cardinality))
-    return batch
+    if max_cardinality is not None and max_cardinality < 3:
+        return enumerate_short_covers(system, include_ternary=False)
+    longs = enumerate_long_covers(system, max_cardinality=max_cardinality)
+    return _first_per_member_set(enumerate_short_covers(system) + longs)

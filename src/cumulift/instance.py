@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import InfeasibleTask, MalformedInput, NegativeValue
 
+# Durations, demands, capacities and offsets must stay below this in
+# magnitude: the demand system is int64 and sums pairs of values, and the
+# knapsack solver orders ratios exactly only below 2**32.
+VALUE_LIMIT = 2**31
+
 
 class InstanceKind(str, Enum):
     RCPSP = "RCPSP"
@@ -97,6 +102,11 @@ class SchedulingInstance:
                 )
         if self.horizon is not None and self.horizon < 0:
             raise NegativeValue("negative horizon")
+        values = [v for t in self.tasks for v in (t.duration, *t.demands)]
+        values += [r.capacity for r in self.resources] + [a.offset for a in self.precedences]
+        for value in values:
+            if abs(value) >= VALUE_LIMIT:
+                raise MalformedInput(f"value {value} is out of range (magnitude 2**31 or more)")
 
 
 @dataclass
@@ -235,11 +245,14 @@ def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
         )
         for entry in _objects(doc, "precedences", "precedence")
     ]
+    doc_name = doc.get("name", name)
+    if not isinstance(doc_name, str):
+        raise MalformedInput(f"'name' must be a string, got {doc_name!r}")
     horizon = doc.get("horizon")
     if horizon is not None:
         horizon = _require_int(horizon, "horizon")
     instance = SchedulingInstance(
-        name=doc.get("name", name) or name,
+        name=doc_name or name,
         kind=kind,
         tasks=tuple(tasks),
         resources=tuple(resources),

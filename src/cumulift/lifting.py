@@ -11,10 +11,11 @@ the best few by capacity bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .covers import seed_covers, select_top_covers
+from .covers import RULES, seed_covers, select_top_covers
 from .errors import VerificationFailed
 from .instance import DemandSystem, SchedulingInstance, to_demand_system
 from .knapsack import IncrementalLiftSolver
@@ -211,10 +212,11 @@ def run_pipeline(
 ) -> InferenceReport:
     """Project, enumerate, lift, verify, and assemble the report."""
     system = to_demand_system(instance)
-    batch = seed_covers(system, max_cardinality=config.max_cover_cardinality)
-    selected = select_top_covers(batch, system.durations, config.n_cover)
+    covers = seed_covers(system, max_cardinality=config.max_cover_cardinality)
+    selected = select_top_covers(covers, system.durations, config.n_cover)
     constraints, stats = infer_constraints(system, selected, config)
-    stats.covers_generated = batch.counts()
+    counts = Counter(c.rule for c in covers)
+    stats.covers_generated = {rule: counts[rule] for rule in RULES}
 
     if config.bruteforce_verify and system.n_cols <= BRUTEFORCE_LIMIT_DEFAULT:
         for c in constraints:

@@ -93,6 +93,8 @@ def _parse_psplib_sm(text: str, name: str) -> SchedulingInstance:
     n_res, _ = _header_int(lines, "renewable")
     if n_jobs <= 0:
         raise MalformedInput("job count must be positive")
+    if n_jobs > len(lines):
+        raise InconsistentCounts(f"{n_jobs} jobs declared in a file of {len(lines)} lines")
     _nonneg(horizon, "horizon")
     _nonneg(n_res, "renewable resource count")
 
@@ -319,6 +321,8 @@ def _parse_patterson_rcp(text: str, name: str) -> SchedulingInstance:
     n_res, _ = tokens.take("resource count")
     if n_jobs <= 0 or n_res < 0:
         raise MalformedInput("bad job/resource counts in header")
+    if n_jobs > len(tokens.items):
+        raise InconsistentCounts(f"{n_jobs} jobs declared in a file of {len(tokens.items)} numbers")
     capacities = []
     for r in range(n_res):
         cap, line = tokens.take("capacity")

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MalformedInput, PositiveCycle
-from .instance import DemandSystem, SchedulingInstance, to_demand_system
-from .polyhedral import LiftedInequality, capacity_bound, capacity_lb
+from .instance import DemandSystem, SchedulingInstance
+from .polyhedral import LiftedInequality, capacity_lb
 
 REPORT_SCHEMA = "cumulift-report/1"
 
@@ -241,25 +241,6 @@ def _fragment_line(durations: Sequence[int], usages: Sequence[int], capacity: in
     dur = ", ".join(str(int(d)) for d in durations)
     usage = ", ".join(str(int(u)) for u in usages)
     return f"constraint cumulative(start, [{dur}], [{usage}], {capacity});"
-
-
-def emit_model_fragment(
-    instance: SchedulingInstance, inferred: Sequence[LiftedInequality]
-) -> str:
-    """MiniZinc-style cumulative lines, one per inferred inequality.
-
-    Arrays are in original task order; tasks outside the demand system get
-    usage 0.
-    """
-    system = to_demand_system(instance)
-    durations = [t.duration for t in instance.tasks]
-    lines = []
-    for ineq in inferred:
-        usages = [0] * instance.n_tasks
-        for col, coeff in enumerate(ineq.coeffs):
-            usages[system.task_map[col]] = int(coeff)
-        lines.append(_fragment_line(durations, usages, ineq.rhs))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def fragment_from_report(instance: SchedulingInstance, report: InferenceReport) -> str:

@@ -71,16 +71,30 @@ class TestInfer:
                 "constraints": [{"capacity": 1}],
                 "searchless_lb": 0,
             }).encode()),
+            ("infer", "many.rcp", b"99999999999 1\n5\n0 0 0\n"),
+            ("infer", "many.sm", FIXTURE_SM.replace(
+                "sink ):  6", "sink ):  99999999999").encode()),
+            ("infer", "huge.json", json.dumps({
+                "tasks": [{"duration": 1, "demands": [1]}],
+                "resources": [{"capacity": 99999999999999999999999}],
+            }).encode()),
+            ("infer --report-format text", "named.json", json.dumps({
+                "name": 5,
+                "tasks": [{"duration": 1, "demands": [1]}],
+                "resources": [{"capacity": 1}],
+            }).encode()),
         ],
         ids=["garbage-sm", "non-utf8", "task-not-object", "resource-not-object",
-             "precedence-not-object", "report-without-usages"],
+             "precedence-not-object", "report-without-usages", "rcp-job-count",
+             "sm-job-count", "huge-capacity", "name-not-string"],
     )
     def test_malformed_input_maps_to_2(self, capsys, tmp_path, sm_path,
                                        command, filename, content):
+        # ``command`` holds the CLI words that go before the file.
         path = tmp_path / filename
         path.write_bytes(content)
-        argv = [command, str(path)]
-        if command == "check":
+        argv = command.split() + [str(path)]
+        if argv[0] == "check":
             argv += ["--instance", sm_path]
         code, _, err = run_cli(capsys, argv)
         assert code == 2

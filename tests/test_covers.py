@@ -4,26 +4,24 @@ from itertools import combinations
 import numpy as np
 
 from cumulift.covers import (
-    GenerationRule,
-    cover_capacity_bound,
     enumerate_long_covers,
     enumerate_short_covers,
     seed_covers,
     select_top_covers,
 )
-from cumulift.polyhedral import is_cover
+from cumulift.polyhedral import capacity_bound, is_cover
 
 from conftest import make_system, random_system
 
 
-def tagged(batch):
-    return [(c.members, c.rule) for c in batch]
+def tagged(covers):
+    return [(c.members, c.rule) for c in covers]
 
 
 class TestShortCovers:
     def test_fixture_enumeration(self, knapsack_system):
-        batch = enumerate_short_covers(knapsack_system)
-        assert tagged(batch) == [
+        covers = enumerate_short_covers(knapsack_system)
+        assert tagged(covers) == [
             ((0, 1), "binary"),
             ((0, 2, 3), "ternary"),   # pair (0,2) completed by the longest task 3
             ((0, 3), "binary"),
@@ -38,8 +36,8 @@ class TestShortCovers:
 
     def test_all_pairs_cover(self):
         system = make_system([[2, 2, 2]], [3], [4, 5, 6])
-        batch = enumerate_short_covers(system)
-        assert tagged(batch) == [
+        covers = enumerate_short_covers(system)
+        assert tagged(covers) == [
             ((0, 1), "binary"),
             ((0, 2), "binary"),
             ((1, 2), "binary"),
@@ -79,7 +77,7 @@ class TestShortCovers:
             seen = set()
             for cover in enumerate_short_covers(system):
                 seen.add(cover.members)
-                if cover.rule != GenerationRule.TERNARY.value:
+                if cover.rule != "ternary":
                     continue
                 r = cover.source_row
                 a = system.matrix[r]
@@ -117,8 +115,8 @@ class TestShortCovers:
 class TestLongCovers:
     def test_uniform_group(self):
         system = make_system([[2, 2, 2, 2]], [3], [5, 1, 2, 3])
-        batch = enumerate_long_covers(system)
-        assert tagged(batch) == [
+        covers = enumerate_long_covers(system)
+        assert tagged(covers) == [
             ((0, 3), "long_max"),  # two longest: durations 5 and 3
             ((1, 2), "long_min"),  # two shortest: durations 1 and 2
         ]
@@ -128,13 +126,13 @@ class TestLongCovers:
 
     def test_degenerate_group_emitted_once(self):
         system = make_system([[2, 2]], [3], [4, 4])
-        batch = enumerate_long_covers(system)
-        assert tagged(batch) == [((0, 1), "long_max")]
+        covers = enumerate_long_covers(system)
+        assert tagged(covers) == [((0, 1), "long_max")]
 
     def test_cardinality_cap(self):
         system = make_system([[1, 1, 1, 1, 1]], [3], [1, 2, 3, 4, 5])
-        batch = enumerate_long_covers(system)  # k = 4 out of a group of 5
-        assert tagged(batch) == [
+        covers = enumerate_long_covers(system)  # k = 4 out of a group of 5
+        assert tagged(covers) == [
             ((1, 2, 3, 4), "long_max"),
             ((0, 1, 2, 3), "long_min"),
         ]
@@ -143,8 +141,8 @@ class TestLongCovers:
 
 class TestSelectTop:
     def test_fixture_ranking(self, knapsack_system):
-        batch = seed_covers(knapsack_system)
-        selected = select_top_covers(batch, knapsack_system.durations, 100)
+        covers = seed_covers(knapsack_system)
+        selected = select_top_covers(covers, knapsack_system.durations, 100)
         assert [c.members for c in selected] == [
             (0, 3),       # capacity bound 3
             (0, 1),       # the bound-2 group keeps generation order
@@ -152,27 +150,45 @@ class TestSelectTop:
             (1, 2, 3),
             (0, 1, 3),
         ]
-        bounds = [cover_capacity_bound(c, knapsack_system.durations) for c in selected]
+        n = knapsack_system.n_cols
+        bounds = [capacity_bound(c.inequality(n), knapsack_system.durations) for c in selected]
         assert bounds == [Fraction(3), 2, 2, 2, 2]
+
+    def test_integer_rank_matches_capacity_bound_sort(self):
+        # Reference: a stable sort of the short covers by their exact
+        # (Fraction) capacity bound.
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            system = random_system(rng, max_cols=10, max_rows=3)
+            covers = seed_covers(system)
+            shorts = [c for c in covers if c.rule in ("binary", "ternary")]
+            n = system.n_cols
+            expected = sorted(
+                shorts,
+                key=lambda c: capacity_bound(c.inequality(n), system.durations),
+                reverse=True,
+            )
+            top = select_top_covers(covers, system.durations, len(shorts))
+            assert top[: len(shorts)] == expected
 
     def test_limit_zero_keeps_only_long(self):
         # Demands 2 against capacity 5: pairs never cover, k = 3, and the
         # three shortest tasks are not any ternary completion, so a genuine
         # long cover survives the cut.
         system = make_system([[2, 2, 2, 2]], [5], [5, 1, 2, 3])
-        batch = seed_covers(system)
-        selected = select_top_covers(batch, system.durations, 0)
+        covers = seed_covers(system)
+        selected = select_top_covers(covers, system.durations, 0)
         assert [(c.members, c.rule) for c in selected] == [((1, 2, 3), "long_min")]
 
     def test_limit_one(self, knapsack_system):
-        batch = seed_covers(knapsack_system)
-        selected = select_top_covers(batch, knapsack_system.durations, 1)
+        covers = seed_covers(knapsack_system)
+        selected = select_top_covers(covers, knapsack_system.durations, 1)
         assert [c.members for c in selected] == [(0, 3)]
 
     def test_long_covers_not_truncated(self):
         system = make_system([[2, 2, 2, 2]], [5], [5, 1, 2, 3])
-        batch = seed_covers(system)
-        selected = select_top_covers(batch, system.durations, 1)
+        covers = seed_covers(system)
+        selected = select_top_covers(covers, system.durations, 1)
         rules = [c.rule for c in selected]
         assert rules.count("binary") + rules.count("ternary") == 1
         assert "long_min" in rules
@@ -182,10 +198,10 @@ class TestDedup:
     def test_long_duplicate_of_short_keeps_short_tag(self):
         # All pairs are binary covers; the long rule rediscovers (0, 1).
         system = make_system([[1, 1]], [1], [2, 2])
-        batch = seed_covers(system)
-        assert tagged(batch) == [((0, 1), "binary")]
+        covers = seed_covers(system)
+        assert tagged(covers) == [((0, 1), "binary")]
 
     def test_cross_row_duplicate_keeps_first_row(self):
         system = make_system([[3, 3], [2, 2]], [4, 3], [1, 1])
-        batch = enumerate_short_covers(system)
-        assert [(c.members, c.source_row) for c in batch] == [((0, 1), 0)]
+        covers = enumerate_short_covers(system)
+        assert [(c.members, c.source_row) for c in covers] == [((0, 1), 0)]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,14 +10,14 @@ from cumulift.instance import (
     Resource,
     SchedulingInstance,
     Task,
-    to_demand_system,
 )
 from cumulift.lifting import LiftingConfig, run_pipeline
 from cumulift.polyhedral import LiftedInequality
 from cumulift.report import (
+    InferenceReport,
+    ReportConstraint,
     ReportFormat,
     compute_searchless_lb,
-    emit_model_fragment,
     emit_report,
     export_parallelism_graph,
     fragment_from_report,
@@ -176,38 +177,43 @@ class TestEmitReport:
         assert -(-total // constraint.capacity) == report.searchless_lb
 
 
+def fragment_of(*constraints):
+    """Model fragment of a fixture report holding ``(usages, capacity)`` pairs.
+
+    A fragment reads only usages and capacities; the other fields are filler.
+    """
+    report = InferenceReport(
+        instance_name="fixture",
+        config={},
+        task_map=(1, 2, 3, 4),
+        constraints=[
+            ReportConstraint(usages=usages, capacity=capacity, bound=Fraction(0),
+                             bound_int=0, source_cover=(), rule="binary")
+            for usages, capacity in constraints
+        ],
+        searchless_lb=0,
+        certificate=None,
+        precedence_lb=0,
+        row_lb=0,
+        infeasible_tasks=(),
+    )
+    return fragment_from_report(fixture_instance(), report)
+
+
 class TestModelFragment:
     def test_fixture_projection_back_to_task_ids(self):
-        fragment = emit_model_fragment(
-            fixture_instance(), [LiftedInequality((1, 1, 1, 1), 2)]
-        )
+        fragment = fragment_of((((1, 1), (2, 1), (3, 1), (4, 1)), 2))
         assert fragment == (
             "constraint cumulative(start, [0, 1, 1, 1, 2, 0], "
             "[0, 1, 1, 1, 1, 0], 2);\n"
         )
 
     def test_empty_list(self):
-        assert emit_model_fragment(fixture_instance(), []) == ""
+        assert fragment_of() == ""
 
     def test_disjunctive_capacity_literal(self):
-        fragment = emit_model_fragment(
-            fixture_instance(), [LiftedInequality((1, 0, 0, 1), 1)]
-        )
+        fragment = fragment_of((((1, 1), (4, 1)), 1))
         assert fragment.rstrip().endswith(" 1);")
-
-    def test_fragment_from_report_matches_direct_emission(self):
-        instance = fixture_instance()
-        report = run_pipeline(instance, LiftingConfig())
-        system = to_demand_system(instance)
-        rebuilt = []
-        for c in report.constraints:
-            coeffs = [0] * system.n_cols
-            for task_id, usage in c.usages:
-                coeffs[system.task_map.index(task_id)] = usage
-            rebuilt.append(LiftedInequality(tuple(coeffs), c.capacity))
-        assert fragment_from_report(instance, report) == emit_model_fragment(
-            instance, rebuilt
-        )
 
 
 class TestParallelismGraph:

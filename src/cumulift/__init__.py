@@ -36,7 +36,6 @@ from .instance import (
     parse_canonical,
     to_demand_system,
 )
-from .knapsack import INFEASIBLE, LiftingSubproblem, SubproblemSolution, solve
 from .lifting import (
     InferenceStats,
     InferredConstraint,

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import InfeasibleTask, MalformedInput, NegativeValue
 
 # Durations, demands, capacities and offsets must stay below this in
-# magnitude: the demand system is int64 and sums pairs of values, and the
-# knapsack solver orders ratios exactly only below 2**32.
+# magnitude: the demand system is int64 and sums pairs of values.
 VALUE_LIMIT = 2**31
 
 
@@ -214,7 +213,7 @@ def parse_canonical(text: str, name: str = "") -> SchedulingInstance:
     """Parse the canonical JSON document back into an instance."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals over 4300 digits
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("top-level JSON value must be an object")

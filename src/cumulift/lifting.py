@@ -130,7 +130,7 @@ def _lift(
     # Only positive-coefficient columns can raise the subproblem objective,
     # so the solver tracks exactly those; values repeat per rhs vector and
     # are memoized inside it.
-    solver = IncrementalLiftSolver(rhs, value_cap=max(pi0, 1))
+    solver = IncrementalLiftSolver(rhs, value_cap=pi0)
     for i in sorted(cover.members):
         coeffs[i] = 1
         solver.add_variable(1, columns[i])
@@ -143,7 +143,7 @@ def _lift(
     for i in order:
         column = columns[i]
         reduced = [rhs[j] - column[j] for j in range(m)]
-        value, fresh = solver.max_value(reduced, stop_at=pi0)
+        value, fresh = solver.max_value(reduced)
         if fresh:
             calls += 1
         if value is None:

@@ -61,6 +61,14 @@ def parse_instance(text: str, fmt: InstanceFormat, name: str = "") -> Scheduling
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _int(raw: str, what: str, line: Optional[int] = None) -> int:
+    """int(raw), with Python's 4300-digit conversion limit mapped to MalformedInput."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise MalformedInput(f"unreadable {what} {raw[:20]!r}", line=line) from None
+
+
 def _nonneg(value: int, what: str, line: Optional[int] = None) -> int:
     if value < 0:
         raise NegativeValue(f"{what} is negative ({value})", line=line)
@@ -75,7 +83,7 @@ def _header_int(lines: Sequence[str], keyword: str) -> Tuple[int, int]:
         if keyword in line.lower() and ":" in line:
             numbers = re.findall(r"-?\d+", line.split(":", 1)[1])
             if numbers:
-                return int(numbers[0]), idx
+                return _int(numbers[0], keyword, idx + 1), idx
     raise MalformedInput(f"missing header field {keyword!r}")
 
 
@@ -172,7 +180,7 @@ def _parse_psplib_sm(text: str, name: str) -> SchedulingInstance:
             continue
         parts = stripped.split()
         if all(re.fullmatch(r"-?\d+", p) for p in parts):
-            capacities = [int(p) for p in parts]
+            capacities = [_int(p, "capacity", idx) for p in parts]
             break
     if len(capacities) != n_res:
         raise InconsistentCounts(

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MalformedInput, PositiveCycle
-from .instance import DemandSystem, SchedulingInstance
+from .instance import VALUE_LIMIT, DemandSystem, SchedulingInstance
 from .polyhedral import LiftedInequality, capacity_lb
 
 REPORT_SCHEMA = "cumulift-report/1"
@@ -193,11 +193,19 @@ def _emit_text(report: InferenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_value(value) -> int:
+    """A usage or capacity read back from a report: an integer in 0..2**31-1."""
+    value = int(value)
+    if not 0 <= value < VALUE_LIMIT:
+        raise MalformedInput(f"report usage or capacity {value} is outside 0..2**31-1")
+    return value
+
+
 def parse_report(text: str) -> InferenceReport:
     """Parse a JSON report back; inverse of emit_report(..., JSON)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals over 4300 digits
         raise MalformedInput(f"invalid report JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("a report must be a JSON object")
@@ -206,8 +214,8 @@ def parse_report(text: str) -> InferenceReport:
     try:
         constraints = [
             ReportConstraint(
-                usages=tuple((int(t), int(u)) for t, u in entry["usages"]),
-                capacity=int(entry["capacity"]),
+                usages=tuple((int(t), _report_value(u)) for t, u in entry["usages"]),
+                capacity=_report_value(entry["capacity"]),
                 bound=Fraction(entry["capacity_bound"]),
                 bound_int=int(entry["capacity_lb"]),
                 source_cover=tuple(int(t) for t in entry["source_cover"]),

@@ -11,6 +11,7 @@ from cumulift.instance import (
     SchedulingInstance,
     Task,
 )
+from cumulift.knapsack import IncrementalLiftSolver
 
 
 @pytest.fixture
@@ -34,6 +35,19 @@ def make_system(matrix, rhs, durations, task_map=None):
         durations=np.asarray(durations, dtype=np.int64),
         task_map=task_map,
     )
+
+
+def frontier_max(weights, rows, rhs):
+    """max sum(weights[c] x[c]) s.t. sum(rows[j][c] x[c]) <= rhs[j], by the frontier solver.
+
+    None means infeasible (some rhs < 0).  Zero-weight variables never
+    change the optimum and are left out, as the lifting loop does.
+    """
+    solver = IncrementalLiftSolver(rhs, value_cap=max(1, sum(weights)))
+    for c, w in enumerate(weights):
+        if w > 0:
+            solver.add_variable(w, [row[c] for row in rows])
+    return solver.max_value(rhs)[0]
 
 
 def random_system(rng, max_cols=8, max_rows=3, max_rhs=9, max_duration=6):

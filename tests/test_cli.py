@@ -83,10 +83,19 @@ class TestInfer:
                 "tasks": [{"duration": 1, "demands": [1]}],
                 "resources": [{"capacity": 1}],
             }).encode()),
+            ("check", "report.json", json.dumps({
+                "schema": "cumulift-report/1",
+                "constraints": [{
+                    "usages": [[1, 10**23], [2, 1]], "capacity": 10**23,
+                    "capacity_bound": "1", "capacity_lb": 1,
+                    "source_cover": [1, 2], "rule": "binary",
+                }],
+                "searchless_lb": 0,
+            }).encode()),
         ],
         ids=["garbage-sm", "non-utf8", "task-not-object", "resource-not-object",
              "precedence-not-object", "report-without-usages", "rcp-job-count",
-             "sm-job-count", "huge-capacity", "name-not-string"],
+             "sm-job-count", "huge-capacity", "name-not-string", "huge-usage"],
     )
     def test_malformed_input_maps_to_2(self, capsys, tmp_path, sm_path,
                                        command, filename, content):
@@ -147,6 +156,17 @@ class TestOtherCommands:
         assert out.count("constraint cumulative(") == out.count("\n")
         _, rerun, _ = run_cli(capsys, ["emit", sm_path])
         assert out == rerun
+
+    def test_emit_rejects_negative_report_usage(self, capsys, sm_path, tmp_path):
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, ["infer", sm_path, "--out", str(report_path)])
+        doc = json.loads(report_path.read_text())
+        doc["constraints"][0]["usages"][0][1] = -3
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["emit", sm_path, "--report", str(report_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_check_accepts_valid_report(self, capsys, sm_path, tmp_path):
         report_path = tmp_path / "report.json"

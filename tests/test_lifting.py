@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import cumulift.lifting as lifting_mod
 from cumulift.covers import seed_covers, select_top_covers
 from cumulift.instance import (
     InstanceKind,
@@ -10,8 +9,6 @@ from cumulift.instance import (
     Task,
     to_demand_system,
 )
-from cumulift.fixtures import FIXTURE_FILES
-from cumulift.knapsack import IncrementalLiftSolver
 from cumulift.lifting import (
     LiftingConfig,
     SkipSet,
@@ -19,11 +16,10 @@ from cumulift.lifting import (
     lift_cover,
     run_pipeline,
 )
-from cumulift.parsers import detect_format, parse_instance
 from cumulift.polyhedral import Cover, check_validity_bruteforce
 from cumulift.report import emit_report
 
-from conftest import make_system, random_instance, random_system
+from conftest import make_system, random_system
 
 
 class TestLiftCover:
@@ -201,26 +197,6 @@ class TestRunPipeline:
             for constraint in kept:
                 ok, point = check_validity_bruteforce(constraint.inequality, system)
                 assert ok, (constraint, point, system.matrix, system.rhs)
-
-    def test_frontier_overflow_fallback_gives_identical_reports(self, monkeypatch):
-        instances = [
-            parse_instance(text, detect_format(filename), name="fixture")
-            for filename, text in sorted(FIXTURE_FILES.items())
-        ]
-        rng = np.random.default_rng(44)
-        instances += [random_instance(rng, max_tasks=12, max_resources=3) for _ in range(10)]
-        expected = [emit_report(run_pipeline(instance)) for instance in instances]
-
-        solvers = []
-
-        def overflowing_solver(*args, **kwargs):
-            # A frontier limit of 1 makes nearly every multi-row lift overflow.
-            solvers.append(IncrementalLiftSolver(*args, pareto_limit=1, **kwargs))
-            return solvers[-1]
-
-        monkeypatch.setattr(lifting_mod, "IncrementalLiftSolver", overflowing_solver)
-        assert [emit_report(run_pipeline(instance)) for instance in instances] == expected
-        assert sum(solver._fronts is None for solver in solvers) >= 10
 
 
 class TestLiftingConfig:

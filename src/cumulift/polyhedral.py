@@ -3,7 +3,7 @@
 The central objects are inequalities ``pi . x <= pi0`` with nonnegative
 integer coefficients, interpreted against point sets
 ``{x in {0,1}^n : A x <= b}``.  Everything here is exact: capacity ratios
-are ``fractions.Fraction``, validity is decided by full enumeration.
+are ``fractions.Fraction``, validity is decided by enumerating subsets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptySupport, TooLarge, ZeroCapacity
 
 BRUTEFORCE_LIMIT_DEFAULT = 20
-_BRUTEFORCE_CHUNK_BITS = 16
+_LOW_TABLE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,12 @@ def is_dominated(ineq: LiftedInequality, system) -> bool:
     return False
 
 
-def _binary_block(offset: int, count: int, n: int) -> np.ndarray:
-    """Rows ``offset .. offset+count-1`` of the 2**n enumeration, bit i = x_i."""
-    codes = np.arange(offset, offset + count, dtype=np.uint64)
-    return (codes[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
+def _subset_sums(columns: np.ndarray) -> np.ndarray:
+    """Row c holds the sum of ``columns[i]`` over the bits i set in c."""
+    sums = np.zeros((1, columns.shape[1]), dtype=np.int64)
+    for column in columns:
+        sums = np.concatenate([sums, sums + column])
+    return sums
 
 
 def check_validity_bruteforce(
@@ -129,29 +131,41 @@ def check_validity_bruteforce(
     system,
     limit: int = BRUTEFORCE_LIMIT_DEFAULT,
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Decide validity by enumerating every 0/1 point of the system.
+    """Decide validity by enumerating every subset of the support of ``pi``.
 
     Returns ``(True, None)`` if every feasible point satisfies the
     inequality, else ``(False, y)`` for the violating point of smallest
-    binary code (bit i encodes x_i).
+    binary code (bit i encodes x_i).  ``limit`` bounds the number of system
+    columns.  Since ``A >= 0`` and ``pi >= 0``, clearing a bit outside the
+    support keeps a violating point feasible and violating and lowers its
+    code, so the smallest witness lies on the support.
     """
     matrix = np.asarray(system.matrix, dtype=np.int64)
     rhs = np.asarray(system.rhs, dtype=np.int64)
     n = matrix.shape[1]
     if n != len(ineq.coeffs):
         raise ValueError("dimension mismatch")
+    if (matrix < 0).any():
+        raise ValueError("matrix must be nonnegative")
     if n > limit:
         raise TooLarge(f"{n} columns exceed brute-force limit {limit}")
+    support = ineq.support
+    # Row i holds (pi_c, A[:, c]) of the i-th support column c: bit i of a code is x_c.
     pi = np.asarray(ineq.coeffs, dtype=np.int64)
-
-    chunk = 1 << min(n, _BRUTEFORCE_CHUNK_BITS)
-    for offset in range(0, 1 << n, chunk):
-        y = _binary_block(offset, chunk, n).astype(np.int64)
-        feasible = np.all(y @ matrix.T <= rhs, axis=1)
-        violating = feasible & (y @ pi > ineq.rhs)
+    columns = np.column_stack([pi, matrix.T])[list(support)]
+    low_bits = min(len(support), _LOW_TABLE_BITS)
+    low = _subset_sums(columns[:low_bits])
+    for high_code, offset in enumerate(_subset_sums(columns[low_bits:])):
+        violating = (low[:, 0] + offset[0] > ineq.rhs) & np.all(
+            low[:, 1:] <= rhs - offset[1:], axis=1
+        )
         hits = np.flatnonzero(violating)
         if hits.size:
-            return False, tuple(int(v) for v in y[hits[0]])
+            code = (high_code << low_bits) | int(hits[0])
+            point = [0] * n
+            for bit, col in enumerate(support):
+                point[col] = (code >> bit) & 1
+            return False, tuple(point)
     return True, None
 
 

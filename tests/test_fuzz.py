@@ -61,11 +61,21 @@ REPORT = emit_report(run_pipeline(parse_instance(FIXTURE_SM, InstanceFormat.PSPL
 
 @st.composite
 def edited_text(draw, text):
-    """``text`` with a few of its numbers replaced and lines dropped or repeated."""
+    """``text`` with a few of its numbers replaced and lines dropped or repeated.
+
+    A replaced number is drawn either from all numbers of the text or from
+    one line drawn first, so a header line with a single number is edited
+    as often as a data row with ten.
+    """
     for _ in range(draw(st.integers(1, 4))):
         spans = [match.span() for match in re.finditer(r"-?\d+", text)]
         lines = text.splitlines(keepends=True)
-        if spans and draw(st.booleans()):
+        edit = draw(st.sampled_from(["number", "line, then number", "line"]))
+        if spans and edit == "line, then number":
+            rows = [text.count("\n", 0, start) for start, _ in spans]
+            row = draw(st.sampled_from(sorted(set(rows))))
+            spans = [span for span, r in zip(spans, rows) if r == row]
+        if spans and edit != "line":
             start, end = draw(st.sampled_from(spans))
             text = text[:start] + draw(TOKENS) + text[end:]
         elif lines:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -88,6 +90,72 @@ class TestBruteforceValidity:
         system = make_system([[1] * 21], [5], [1] * 21)
         with pytest.raises(TooLarge):
             check_validity_bruteforce(LiftedInequality((1,) * 21, 5), system)
+
+    def test_negative_matrix_entry_rejected(self):
+        system = make_system([[1, -1]], [1], [1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_validity_bruteforce(LiftedInequality((1, 1), 1), system)
+
+    def test_violation_found_only_through_high_support_columns(self):
+        # pi = 1 on columns 0..15 and 16 on 16..19: the low columns alone sum
+        # to at most pi0 = 16, so every violation sets a bit above 15.  The
+        # second row forbids x_0 together with x_16.
+        system = make_system(
+            [[1] * 20, [1] + [0] * 15 + [1, 0, 0, 0]], [20, 1], [1] * 20
+        )
+        coeffs = (1,) * 16 + (16,) * 4
+        expected = (0, 1) + (0,) * 14 + (1, 0, 0, 0)
+        assert check_validity_bruteforce(LiftedInequality(coeffs, 16), system) == (
+            False, expected,
+        )
+        assert check_validity_bruteforce(LiftedInequality(coeffs, 80), system) == (True, None)
+
+    def test_huge_demand_outside_support_changes_nothing(self, knapsack_system):
+        wide = make_system([[5, 10**12, 3, 2, 4]], [7], [1] * 5)
+        for rhs in (1, 2):
+            ok, point = check_validity_bruteforce(
+                LiftedInequality((1, 1, 1, 1), rhs), knapsack_system
+            )
+            expected = (ok, None if ok else point[:1] + (0,) + point[1:])
+            assert check_validity_bruteforce(
+                LiftedInequality((1, 0, 1, 1, 1), rhs), wide
+            ) == expected
+
+
+def enumerate_validity(ineq, system):
+    """``(ok, point)`` from all 2**n points, first violation in binary-code order."""
+    n = system.n_cols
+    for bits in itertools.product((0, 1), repeat=n):
+        x = bits[::-1]  # product varies the last item fastest; bit i is x_i
+        feasible = all(
+            sum(int(a) * v for a, v in zip(row, x)) <= b
+            for row, b in zip(system.matrix, system.rhs)
+        )
+        if feasible and sum(c * v for c, v in zip(ineq.coeffs, x)) > ineq.rhs:
+            return False, x
+    return True, None
+
+
+def test_bruteforce_matches_full_enumeration():
+    """Random and deliberately over-tight inequalities: same verdict, same witness."""
+    rng = np.random.default_rng(17)
+    violated = 0
+    for trial in range(300):
+        system = random_system(rng, max_cols=10, max_rows=3)
+        n = system.n_cols
+        coeffs = [int(c) for c in rng.integers(0, 4, size=n) * (rng.random(n) < 0.6)]
+        top = max(coeffs)
+        if trial % 2:  # over-tight: the rhs sits at the largest coefficient
+            rhs = top
+        else:
+            rhs = int(rng.integers(top, sum(coeffs) + 2))
+        ineq = LiftedInequality(tuple(coeffs), rhs)
+        expected = enumerate_validity(ineq, system)
+        assert check_validity_bruteforce(ineq, system) == expected, (
+            system.matrix, system.rhs, coeffs, rhs,
+        )
+        violated += not expected[0]
+    assert violated > 50  # the sample exercised the witness, not only validity
 
 
 class TestCheckCumulative:

@@ -21,7 +21,7 @@ system = DemandSystem(
 
 covers = seed_covers(system)
 selected = select_top_covers(covers, system.durations, 100)
-print(f"seed covers: {len(selected)} (all pairs of 10 tasks)")
+print(f"seed covers: {len(covers)} (all pairs of 10 tasks)")
 
 kept, stats = infer_constraints(system, selected, LiftingConfig())
 

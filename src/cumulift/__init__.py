@@ -8,6 +8,7 @@ makespan lower bounds they certify.
 """
 
 from .covers import (
+    SeedCovers,
     enumerate_long_covers,
     enumerate_short_covers,
     seed_covers,

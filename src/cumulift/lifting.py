@@ -11,11 +11,10 @@ the best few by capacity bound.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .covers import RULES, seed_covers, select_top_covers
+from .covers import seed_covers, select_top_covers
 from .errors import VerificationFailed
 from .instance import DemandSystem, SchedulingInstance, to_demand_system
 from .knapsack import IncrementalLiftSolver
@@ -215,8 +214,7 @@ def run_pipeline(
     covers = seed_covers(system, max_cardinality=config.max_cover_cardinality)
     selected = select_top_covers(covers, system.durations, config.n_cover)
     constraints, stats = infer_constraints(system, selected, config)
-    counts = Counter(c.rule for c in covers)
-    stats.covers_generated = {rule: counts[rule] for rule in RULES}
+    stats.covers_generated = covers.rule_counts()
 
     if config.bruteforce_verify and system.n_cols <= BRUTEFORCE_LIMIT_DEFAULT:
         for c in constraints:

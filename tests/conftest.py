@@ -1,8 +1,11 @@
 """Shared fixtures and generators for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from cumulift.covers import enumerate_long_covers
 from cumulift.instance import (
     DemandSystem,
     InstanceKind,
@@ -12,6 +15,7 @@ from cumulift.instance import (
     Task,
 )
 from cumulift.knapsack import IncrementalLiftSolver
+from cumulift.polyhedral import Cover, capacity_bound
 
 
 @pytest.fixture
@@ -67,6 +71,56 @@ def random_system(rng, max_cols=8, max_rows=3, max_rhs=9, max_duration=6):
     )
     return DemandSystem(matrix=matrix, rhs=rhs, durations=durations,
                         task_map=tuple(range(n)))
+
+
+def reference_short_covers(system, include_ternary=True):
+    """Every short cover as its own ``Cover``, in generation order, repeats included.
+
+    The plain-Python reference for :mod:`cumulift.covers`: per row, every
+    pair in ``triu`` order is a binary cover if it overloads the row, else
+    it is completed by the longest other task (lowest index on ties) whose
+    demand exceeds the pair's slack, when there is one.
+    """
+    d = [int(x) for x in system.durations]
+    covers = []
+    for row in range(system.n_rows):
+        a = [int(x) for x in system.matrix[row]]
+        b = int(system.rhs[row])
+        for i, j in combinations(range(system.n_cols), 2):
+            if a[i] + a[j] > b:
+                covers.append(Cover((i, j), row, "binary"))
+            elif include_ternary:
+                slack = b - a[i] - a[j]
+                eligible = [k for k in range(system.n_cols) if k not in (i, j) and a[k] > slack]
+                if eligible:
+                    k = min(eligible, key=lambda c: (-d[c], c))
+                    covers.append(Cover(tuple(sorted((i, j, k))), row, "ternary"))
+    return covers
+
+
+def first_per_member_set(covers):
+    """Drop every cover whose member set an earlier cover already has."""
+    unique = {}
+    for cover in covers:
+        unique.setdefault(cover.members, cover)
+    return list(unique.values())
+
+
+def reference_seed_covers(system, max_cardinality=None):
+    """The seed cover list the array code must reproduce, in order."""
+    if max_cardinality is not None and max_cardinality < 3:
+        return first_per_member_set(reference_short_covers(system, include_ternary=False))
+    longs = enumerate_long_covers(system, max_cardinality=max_cardinality)
+    return first_per_member_set(reference_short_covers(system) + longs)
+
+
+def reference_select(covers, durations, limit):
+    """Stable sort of the short covers by exact capacity bound; long covers after the cut."""
+    n = len(durations)
+    shorts = [c for c in covers if c.rule in ("binary", "ternary")]
+    longs = [c for c in covers if c.rule not in ("binary", "ternary")]
+    shorts.sort(key=lambda c: capacity_bound(c.inequality(n), durations), reverse=True)
+    return shorts[:limit] + longs
 
 
 def random_instance(rng, max_tasks=6, max_resources=2, max_rhs=6, max_duration=4,

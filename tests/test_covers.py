@@ -1,17 +1,29 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from cumulift.covers import (
+    RULES,
     enumerate_long_covers,
     enumerate_short_covers,
     seed_covers,
     select_top_covers,
 )
-from cumulift.polyhedral import capacity_bound, is_cover
+from cumulift.instance import to_demand_system
+from cumulift.lifting import LiftingConfig, run_pipeline
+from cumulift.polyhedral import Cover, capacity_bound, is_cover
 
-from conftest import make_system, random_system
+from conftest import (
+    make_system,
+    random_system,
+    reference_seed_covers,
+    reference_select,
+    reference_short_covers,
+    synthetic_project,
+)
 
 
 def tagged(covers):
@@ -33,6 +45,18 @@ class TestShortCovers:
         # Raw system bypassing projection invariants on purpose.
         system = make_system([[0, 0, 0]], [3], [1, 1, 1])
         assert len(enumerate_short_covers(system)) == 0
+        covers = seed_covers(system)
+        assert len(covers) == 0 and list(covers) == []
+        assert covers.rule_counts() == dict.fromkeys(RULES, 0)
+        assert select_top_covers(covers, system.durations, 100) == []
+
+    def test_no_covers_below_two_columns(self):
+        system = make_system([[3], [1]], [3, 2], [4])
+        for cap in (None, 2, 3):
+            covers = seed_covers(system, max_cardinality=cap)
+            assert len(covers) == 0 and list(covers) == []
+            assert covers.rule_counts() == dict.fromkeys(RULES, 0)
+            assert select_top_covers(covers, system.durations, 5) == []
 
     def test_all_pairs_cover(self):
         system = make_system([[2, 2, 2]], [3], [4, 5, 6])
@@ -185,6 +209,11 @@ class TestSelectTop:
         selected = select_top_covers(covers, knapsack_system.durations, 1)
         assert [c.members for c in selected] == [(0, 3)]
 
+    def test_negative_limit_rejected(self, knapsack_system):
+        covers = seed_covers(knapsack_system)
+        with pytest.raises(ValueError):
+            select_top_covers(covers, knapsack_system.durations, -1)
+
     def test_long_covers_not_truncated(self):
         system = make_system([[2, 2, 2, 2]], [5], [5, 1, 2, 3])
         covers = seed_covers(system)
@@ -205,3 +234,59 @@ class TestDedup:
         system = make_system([[3, 3], [2, 2]], [4, 3], [1, 1])
         covers = enumerate_short_covers(system)
         assert [(c.members, c.source_row) for c in covers] == [((0, 1), 0)]
+
+
+def members_rows_rules(covers):
+    return [(c.members, c.source_row, c.rule) for c in covers]
+
+
+class TestAgainstListReference:
+    def test_seed_select_and_counts_match_reference(self):
+        rng = np.random.default_rng(27)
+        cross_row = same_row_triples = long_repeats = 0
+        for _ in range(240):
+            system = random_system(rng, max_cols=12, max_rows=3)
+            d = system.durations
+            raw = reference_short_covers(system)
+            rows_of = defaultdict(set)
+            for c in raw:
+                rows_of[c.members].add(c.source_row)
+            cross_row += sum(len(rows) > 1 for rows in rows_of.values())
+            per_row = Counter((c.members, c.source_row) for c in raw if c.rule == "ternary")
+            same_row_triples += sum(count > 1 for count in per_row.values())
+            long_repeats += sum(c.members in rows_of for c in enumerate_long_covers(system))
+            for cap in (None, 2, 3):
+                expected = reference_seed_covers(system, cap)
+                covers = seed_covers(system, max_cardinality=cap)
+                assert members_rows_rules(covers) == members_rows_rules(expected)
+                assert len(covers) == len(expected)
+                counts = Counter(c.rule for c in expected)
+                assert covers.rule_counts() == {rule: counts[rule] for rule in RULES}
+                shorts = counts["binary"] + counts["ternary"]
+                for limit in sorted({0, 1, shorts // 2, shorts}):
+                    got = select_top_covers(covers, d, limit)
+                    assert members_rows_rules(got) == members_rows_rules(
+                        reference_select(expected, d, limit)
+                    ), (cap, limit, system.matrix, system.rhs, d)
+        # The corpus exercises every way a member set can repeat.
+        assert cross_row > 0
+        assert same_row_triples > 0
+        assert long_repeats > 0
+
+
+def test_pipeline_builds_covers_only_for_survivors(monkeypatch):
+    # Short covers stay arrays until selection; only the n_cover survivors
+    # and the long covers become objects (lifting builds none).
+    instance = synthetic_project(200, seed=0)
+    n_long = len(enumerate_long_covers(to_demand_system(instance)))
+    built = []
+    original = Cover.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        original(self)
+
+    monkeypatch.setattr(Cover, "__post_init__", counting)
+    config = LiftingConfig()
+    run_pipeline(instance, config)
+    assert 0 < len(built) <= config.n_cover + n_long

@@ -47,7 +47,7 @@ class TestLiftCover:
         rng = np.random.default_rng(41)
         for _ in range(80):
             system = random_system(rng, max_cols=9, max_rows=3)
-            for cover in seed_covers(system)[:4]:
+            for cover in list(seed_covers(system))[:4]:
                 ineq = lift_cover(cover, system)
                 for i in cover.members:
                     assert ineq.coeffs[i] == 1
@@ -57,7 +57,7 @@ class TestLiftCover:
         rng = np.random.default_rng(42)
         for _ in range(50):
             system = random_system(rng, max_cols=8, max_rows=3)
-            for cover in seed_covers(system)[:3]:
+            for cover in list(seed_covers(system))[:3]:
                 partials = []
                 lift_cover(cover, system, on_step=lambda q, i: partials.append(q))
                 for partial in partials:

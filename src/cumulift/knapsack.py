@@ -8,8 +8,9 @@ budgets, where the optimum is known to be at most a small cap.
 cap, the Pareto-minimal total demand vectors of subsets worth exactly v
 (the Pareto-frontier knapsack of Nemhauser & Ullmann, 1969).  All queries
 of one lift share the growing variable set and differ only in the reduced
-rhs vector, so a query is a frontier scan.  Everything is integer
-arithmetic.
+rhs vector.  Whether a vector's optimum reaches the cap is one dominance
+test against the top frontier (``at_cap``, many vectors at once);
+``max_value`` gives one vector's exact optimum.  Integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -19,21 +20,28 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 
-def _merge(front: np.ndarray, new: np.ndarray) -> np.ndarray:
+_BLOCK = 1024  # rows per block in ``at_cap``, bounding its boolean temporary
+
+
+def covered(front: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``rows`` that some row of ``front`` is <= everywhere."""
+    return (front[:, None, :] <= rows[None, :, :]).all(axis=2).any(axis=0)
+
+
+def _merge(front: np.ndarray, new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Pareto-minimal union of two Pareto-minimal sets of integer rows.
 
     Each side is minimal on its own, so only old-against-new comparisons
     matter: a new row goes if some old row is <= it everywhere (duplicates
     included), then an old row goes if some surviving new row is <= it.
+    Returns (union, the new rows that entered it).
     """
     if not len(front):
-        return new
-    covered = np.all(front[:, None, :] <= new[None, :, :], axis=2).any(axis=0)
-    new = new[~covered]
+        return new, new
+    new = new[~covered(front, new)]
     if not len(new):
-        return front
-    beaten = np.all(new[:, None, :] <= front[None, :, :], axis=2).any(axis=0)
-    return np.vstack([front[~beaten], new])
+        return front, new
+    return np.vstack([front[~covered(new, front)], new]), new
 
 
 class IncrementalLiftSolver:
@@ -57,30 +65,42 @@ class IncrementalLiftSolver:
         self._rhs = np.asarray([int(r) for r in rhs], dtype=np.int64)
         self._memo: Dict[Tuple[int, ...], Optional[int]] = {}
         m = len(self._rhs)
-        empty = np.zeros((0, m), dtype=np.int64)
+        self._empty = np.zeros((0, m), dtype=np.int64)
         self._fronts = [
-            np.zeros((1, m), dtype=np.int64) if v == 0 else empty
+            np.zeros((1, m), dtype=np.int64) if v == 0 else self._empty
             for v in range(value_cap + 1)
         ]
 
-    def add_variable(self, weight: int, column: Sequence[int]) -> None:
-        """Grow the support by one variable with the given per-row demands."""
+    def add_variable(self, weight: int, column: Sequence[int]) -> np.ndarray:
+        """Grow the support by one variable; returns the new ``value_cap`` frontier rows."""
         if not 0 < weight <= self.value_cap:
             raise ValueError("support weights must lie in 1..value_cap")
         self._memo.clear()
         vec = np.asarray([int(c) for c in column], dtype=np.int64)
+        entered = self._empty
         # A column exceeding the rhs somewhere can never be packed and
         # leaves the frontiers unchanged.
-        if not np.all(vec <= self._rhs):
-            return
+        if not (vec <= self._rhs).all():
+            return entered
         for v in range(self.value_cap, weight - 1, -1):
             base = self._fronts[v - weight]
             if not len(base):
                 continue
             candidates = base + vec
-            candidates = candidates[np.all(candidates <= self._rhs, axis=1)]
+            candidates = candidates[(candidates <= self._rhs).all(axis=1)]
             if len(candidates):
-                self._fronts[v] = _merge(self._fronts[v], candidates)
+                self._fronts[v], added = _merge(self._fronts[v], candidates)
+                if v == self.value_cap:
+                    entered = added
+        return entered
+
+    def at_cap(self, reduced: np.ndarray) -> np.ndarray:
+        """Mask of the reduced rhs rows under which the optimum is ``value_cap``."""
+        top = self._fronts[self.value_cap]
+        mask = np.zeros(len(reduced), dtype=bool)
+        for start in range(0, len(reduced), _BLOCK):
+            mask[start:start + _BLOCK] = covered(top, reduced[start:start + _BLOCK])
+        return mask
 
     def max_value(self, reduced: Sequence[int]) -> Tuple[Optional[int], bool]:
         """Exact optimum under the reduced rhs vector, memoized.
@@ -98,9 +118,9 @@ class IncrementalLiftSolver:
     def _compute(self, reduced: Tuple[int, ...]) -> Optional[int]:
         if any(r < 0 for r in reduced):
             return None
-        red = np.asarray(reduced, dtype=np.int64)
+        red = np.asarray([reduced], dtype=np.int64)
         for v in range(self.value_cap, 0, -1):
             front = self._fronts[v]
-            if len(front) and bool(np.all(front <= red, axis=1).any()):
+            if len(front) and covered(front, red)[0]:
                 return v
         return 0

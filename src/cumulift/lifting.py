@@ -2,11 +2,13 @@
 
 A cover inequality says "not all of these tasks at once"; lifting extends
 it over every remaining column with the largest coefficient that keeps it
-valid, one exact maximization subproblem per column.  The engine runs the
-selected covers in order, maintains a skip structure of already-discovered
-unit-coefficient sets (re-lifting a cover inside one would only rediscover
-the same constraint), drops results dominated by original rows, and keeps
-the best few by capacity bound.
+valid, one exact maximization subproblem per column.  Columns whose
+subproblem already reaches the right-hand side (coefficient 0) are settled
+in bulk, so the solver is queried only where a coefficient is positive.
+The engine runs the selected covers in order, maintains a skip structure
+of already-discovered unit-coefficient sets (re-lifting a cover inside one
+would only rediscover the same constraint), drops results dominated by
+original rows, and keeps the best few by capacity bound.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .covers import seed_covers, select_top_covers
 from .errors import VerificationFailed
 from .instance import DemandSystem, SchedulingInstance, to_demand_system
-from .knapsack import IncrementalLiftSolver
+from .knapsack import IncrementalLiftSolver, covered
 from .polyhedral import (
     BRUTEFORCE_LIMIT_DEFAULT,
     Cover,
@@ -108,9 +112,24 @@ class InferredConstraint:
     verified: Optional[bool] = None
 
 
+class _Columns:
+    """What every lift over one system shares, computed once per system."""
+
+    def __init__(self, system: DemandSystem):
+        columns = np.ascontiguousarray(system.matrix.T, dtype=np.int64)
+        rhs = np.asarray(system.rhs, dtype=np.int64)
+        self.columns: List[List[int]] = columns.tolist()
+        self.rhs: List[int] = rhs.tolist()
+        self.reduced = rhs - columns  # (n, m): rhs minus each column
+        # Lifting order: shortest duration first, ties by index.
+        self.order = np.argsort(system.durations, kind="stable")
+        # Equal columns, and so equal reduced vectors, share an id.
+        self.ids = np.unique(columns, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 def _lift(
     cover: Cover,
-    system: DemandSystem,
+    cols: _Columns,
     on_step: Optional[Callable[[LiftedInequality, int], None]] = None,
 ) -> Tuple[LiftedInequality, int, List[int]]:
     """Lift one cover; returns (inequality, subproblem calls, flagged columns).
@@ -118,43 +137,51 @@ def _lift(
     Columns are lifted shortest-duration first (ties by index).  A column
     whose inclusion is infeasible on its own gets the full coefficient
     pi0 - the strongest value that is trivially valid - and is flagged.
+
+    A lifting value never falls as the support grows and never exceeds
+    pi0, so a column whose reduced rhs already fits a subset worth pi0
+    keeps coefficient 0.  Such columns are settled against the top
+    frontier and each addition's new top rows; only the others are
+    queried, each when every column before it is settled.
     """
-    n = system.n_cols
-    m = system.n_rows
-    columns = system.matrix.T.tolist()
-    rhs = [int(r) for r in system.rhs]
-    members = set(cover.members)
+    n = len(cols.columns)
     pi0 = len(cover.members) - 1
     coeffs = [0] * n
     # Only positive-coefficient columns can raise the subproblem objective,
-    # so the solver tracks exactly those; values repeat per rhs vector and
-    # are memoized inside it.
-    solver = IncrementalLiftSolver(rhs, value_cap=pi0)
+    # so the solver tracks exactly those.
+    solver = IncrementalLiftSolver(cols.rhs, value_cap=pi0)
     for i in sorted(cover.members):
         coeffs[i] = 1
-        solver.add_variable(1, columns[i])
-    order = sorted(
-        (i for i in range(n) if i not in members),
-        key=lambda i: (int(system.durations[i]), i),
-    )
-    calls = 0
+        solver.add_variable(1, cols.columns[i])
+    rest = cols.order[~np.isin(cols.order, cover.members)]
+    reduced = cols.reduced[rest]
+    pending = np.flatnonzero(~solver.at_cap(reduced))
+    lifted: List[int] = []
     flagged: List[int] = []
-    for i in order:
-        column = columns[i]
-        reduced = [rhs[j] - column[j] for j in range(m)]
-        value, fresh = solver.max_value(reduced)
-        if fresh:
-            calls += 1
+    while len(pending):
+        p, pending = pending[0], pending[1:]
+        i = int(rest[p])
+        value, _ = solver.max_value(reduced[p].tolist())
         if value is None:
             coeffs[i] = pi0
             flagged.append(i)
         else:
             assert value <= pi0, "lifting value exceeded the right-hand side"
             coeffs[i] = pi0 - value
-        if coeffs[i] > 0:
-            solver.add_variable(coeffs[i], column)
-        if on_step is not None:
-            on_step(LiftedInequality(tuple(coeffs), pi0), i)
+        lifted.append(p)
+        if len(pending):
+            entered = solver.add_variable(coeffs[i], cols.columns[i])
+            if len(entered):
+                pending = pending[~covered(entered, reduced[pending])]
+    # A subproblem is one distinct reduced vector between two consecutive
+    # positive-coefficient columns (the support is fixed in between).
+    segment = np.searchsorted(np.asarray(lifted, dtype=np.int64), np.arange(len(rest)))
+    calls = len(np.unique(segment * n + cols.ids[rest]))
+    if on_step is not None:
+        partial = list(cover.inequality(n).coeffs)
+        for i in rest.tolist():
+            partial[i] = coeffs[i]
+            on_step(LiftedInequality(tuple(partial), pi0), i)
     return LiftedInequality(tuple(coeffs), pi0), calls, flagged
 
 
@@ -163,8 +190,11 @@ def lift_cover(
     system: DemandSystem,
     on_step: Optional[Callable[[LiftedInequality, int], None]] = None,
 ) -> LiftedInequality:
-    """Sequentially lift a cover inequality over all columns of the system."""
-    inequality, _, _ = _lift(cover, system, on_step=on_step)
+    """Sequentially lift a cover inequality over all columns of the system.
+
+    ``on_step`` gets the partial inequality after each non-member column.
+    """
+    inequality, _, _ = _lift(cover, _Columns(system), on_step=on_step)
     return inequality
 
 
@@ -183,11 +213,12 @@ def infer_constraints(
     skip = SkipSet()
     kept: List[InferredConstraint] = []
     flagged: List[int] = []
+    cols = _Columns(system)
     for cover in covers:
         if skip.already_covered(cover.members):
             stats.covers_skipped += 1
             continue
-        inequality, calls, cover_flagged = _lift(cover, system)
+        inequality, calls, cover_flagged = _lift(cover, cols)
         stats.subproblem_calls += calls
         stats.constraints_lifted += 1
         flagged.extend(c for c in cover_flagged if c not in flagged)

@@ -15,7 +15,7 @@ from cumulift.instance import (
     Task,
 )
 from cumulift.knapsack import IncrementalLiftSolver
-from cumulift.polyhedral import Cover, capacity_bound
+from cumulift.polyhedral import Cover, LiftedInequality, capacity_bound
 
 
 @pytest.fixture
@@ -52,6 +52,45 @@ def frontier_max(weights, rows, rhs):
         if w > 0:
             solver.add_variable(w, [row[c] for row in rows])
     return solver.max_value(rhs)[0]
+
+
+def reference_lift(cover, system, on_step=None):
+    """Sequential lifting by one frontier query per non-member column.
+
+    The loop the lifting engine must reproduce: columns shortest-duration
+    first (ties by index), each queried under its reduced rhs; a fresh
+    (non-memoized) query is one subproblem call; an infeasible column gets
+    pi0 and is flagged; every positive coefficient joins the support.
+    Returns (inequality, subproblem calls, flagged columns).
+    """
+    n = system.n_cols
+    columns = system.matrix.T.tolist()
+    rhs = [int(r) for r in system.rhs]
+    pi0 = len(cover.members) - 1
+    coeffs = [0] * n
+    solver = IncrementalLiftSolver(rhs, value_cap=pi0)
+    for i in cover.members:
+        coeffs[i] = 1
+        solver.add_variable(1, columns[i])
+    order = sorted(
+        (i for i in range(n) if i not in cover.members),
+        key=lambda i: (int(system.durations[i]), i),
+    )
+    calls = 0
+    flagged = []
+    for i in order:
+        value, fresh = solver.max_value([r - c for r, c in zip(rhs, columns[i])])
+        calls += fresh
+        if value is None:
+            coeffs[i] = pi0
+            flagged.append(i)
+        else:
+            coeffs[i] = pi0 - value
+        if coeffs[i] > 0:
+            solver.add_variable(coeffs[i], columns[i])
+        if on_step is not None:
+            on_step(LiftedInequality(tuple(coeffs), pi0), i)
+    return LiftedInequality(tuple(coeffs), pi0), calls, flagged
 
 
 def random_system(rng, max_cols=8, max_rows=3, max_rhs=9, max_duration=6):

@@ -236,6 +236,20 @@ def test_criterion_8_performance_envelope():
         print(f"  200 tasks: {elapsed[200]:.1f} s; 1000 tasks: {elapsed[1000]:.1f} s")
 
 
+# The same instance under the cover-cardinality caps that cover-scan uses.
+GOLDEN_CAPPED_REPORT_SHA256 = {
+    2: "bac7fee9e8db3517da4b328f0736af83794275a48abea40ca2b5d7f9fe070b94",
+    3: "bd22c155896050b44df72453ae67272569d18cf374448141dfebdc990467a300",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(GOLDEN_CAPPED_REPORT_SHA256))
+def test_golden_reports_with_capped_covers(cap):
+    report = run_pipeline(synthetic_project(200, seed=0), LiftingConfig(max_cover_cardinality=cap))
+    digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+    assert digest == GOLDEN_CAPPED_REPORT_SHA256[cap]
+
+
 def test_criterion_9_byte_identical_reports(tmp_path, capsys):
     with verdict("criterion 9: consecutive infer runs emit byte-identical reports"):
         path = tmp_path / "fixture.sm"

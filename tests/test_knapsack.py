@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cumulift.knapsack import IncrementalLiftSolver, _merge
+from cumulift.knapsack import _BLOCK, IncrementalLiftSolver, _merge
 
 from conftest import frontier_max
 
@@ -64,11 +64,17 @@ class TestMerge:
         for _ in range(300):
             m = int(rng.integers(1, 5))
             old, new = random_front(rng, m), random_front(rng, m)
-            merged = _merge(old, new)
+            merged, added = _merge(old, new)
             assert len(merged) == len(set(map(tuple, merged.tolist())))
             assert set(map(tuple, merged.tolist())) == pareto_minimal(
                 old.tolist() + new.tolist()
             )
+            # Added: exactly the new rows that no old row is <= everywhere.
+            uncovered = {
+                tuple(b) for b in new.tolist()
+                if not any(all(x <= y for x, y in zip(a, b)) for a in old.tolist())
+            }
+            assert sorted(map(tuple, added.tolist())) == sorted(uncovered)
 
 
 class TestOracleEquivalence:
@@ -125,6 +131,47 @@ class TestIncrementalSolver:
                 checked += 1
                 assert got == expected
         assert checked > 300
+
+    def test_add_variable_returns_rows_new_to_the_top_frontier(self):
+        rng = np.random.default_rng(35)
+        returned = over = 0
+        for _ in range(150):
+            m = int(rng.integers(1, 4))
+            rhs = [int(rng.integers(0, 14)) for _ in range(m)]
+            value_cap = int(rng.integers(1, 6))
+            solver = IncrementalLiftSolver(rhs, value_cap=value_cap)
+            for _ in range(int(rng.integers(1, 9))):
+                before = set(map(tuple, solver._fronts[value_cap].tolist()))
+                w = int(rng.integers(1, value_cap + 1))
+                # Up to rhs + 2, so some columns exceed the rhs and never fit.
+                col = [int(rng.integers(0, rhs[j] + 3)) for j in range(m)]
+                entered = solver.add_variable(w, col)
+                after = set(map(tuple, solver._fronts[value_cap].tolist()))
+                assert entered.shape[1] == m
+                assert sorted(map(tuple, entered.tolist())) == sorted(after - before)
+                if any(c > r for c, r in zip(col, rhs)):
+                    assert len(entered) == 0
+                    over += 1
+                returned += len(entered)
+        assert returned > 50 and over > 50
+
+    def test_at_cap_matches_max_value(self):
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            m = int(rng.integers(1, 4))
+            rhs = [int(rng.integers(0, 14)) for _ in range(m)]
+            value_cap = int(rng.integers(1, 5))
+            solver = IncrementalLiftSolver(rhs, value_cap=value_cap)
+            for _ in range(int(rng.integers(0, 8))):
+                w = int(rng.integers(1, value_cap + 1))
+                solver.add_variable(w, [int(rng.integers(0, 6)) for _ in range(m)])
+            # More rows than one block, some of them infeasible.
+            reduced = np.array(
+                [[int(rng.integers(-1, r + 1)) for r in rhs] for _ in range(_BLOCK + 37)],
+                dtype=np.int64,
+            ).reshape(-1, m)
+            expected = [solver.max_value(r)[0] == value_cap for r in reduced.tolist()]
+            assert solver.at_cap(reduced).tolist() == expected
 
     def test_memo_reports_cache_hits(self):
         solver = IncrementalLiftSolver([5], value_cap=2)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,13 @@ from cumulift.instance import (
     Task,
     to_demand_system,
 )
+import cumulift.lifting as lifting_mod
+from cumulift.knapsack import IncrementalLiftSolver
 from cumulift.lifting import (
     LiftingConfig,
     SkipSet,
+    _Columns,
+    _lift,
     infer_constraints,
     lift_cover,
     run_pipeline,
@@ -19,7 +25,7 @@ from cumulift.lifting import (
 from cumulift.polyhedral import Cover, check_validity_bruteforce
 from cumulift.report import emit_report
 
-from conftest import make_system, random_system
+from conftest import make_system, random_system, reference_lift, synthetic_project
 
 
 class TestLiftCover:
@@ -70,6 +76,86 @@ class TestLiftCover:
         system = make_system([[2, 2, 9]], [3], [1, 1, 1])
         ineq = lift_cover(Cover(members=(0, 1), source_row=0), system)
         assert ineq.coeffs[2] == ineq.rhs == 1
+
+
+def random_covers(rng, system, count):
+    """Up to ``count`` random covers of 2-6 members, each overloading some row."""
+    covers = []
+    for _ in range(8 * count):
+        if len(covers) == count or system.n_cols < 2:
+            break
+        k = int(rng.integers(2, min(6, system.n_cols) + 1))
+        members = tuple(sorted(int(c) for c in rng.choice(system.n_cols, k, replace=False)))
+        if (system.matrix[:, members].sum(axis=1) > system.rhs).any():
+            covers.append(Cover(members, 0))
+    return covers
+
+
+class TestAgainstReferenceLift:
+    def test_matches_one_query_per_column(self):
+        rng = np.random.default_rng(44)
+        seen = Counter()
+        for _ in range(300):
+            system = random_system(rng, max_cols=14, max_rows=4)
+            if rng.random() < 0.3:
+                # One column over a capacity: infeasible on its own.
+                matrix = system.matrix.copy()
+                j = int(rng.integers(0, system.n_rows))
+                matrix[j, int(rng.integers(0, system.n_cols))] = system.rhs[j] + 1
+                system = make_system(matrix, system.rhs, system.durations)
+            cols = _Columns(system)
+            for cover in random_covers(rng, system, 3):
+                expected_steps, steps = [], []
+                expected = reference_lift(
+                    cover, system, on_step=lambda q, i: expected_steps.append((q, i))
+                )
+                got = _lift(cover, cols, on_step=lambda q, i: steps.append((q, i)))
+                assert got == expected, (cover, system.matrix, system.rhs)
+                assert steps == expected_steps
+                seen["lifts"] += 1
+
+                inequality, calls, flagged = expected
+                pi0 = inequality.rhs
+                rest = [i for i in range(system.n_cols) if i not in cover.members]
+                seen["repeated reduced vectors"] += len(rest) - calls
+                seen["infeasible columns"] += len(flagged)
+                start = IncrementalLiftSolver(cols.rhs, value_cap=pi0)
+                for i in cover.members:
+                    start.add_variable(1, cols.columns[i])
+                seen["empty top frontier"] += start.max_value(cols.rhs)[0] < pi0
+                seen["settled after an addition"] += sum(
+                    inequality.coeffs[i] == 0
+                    and start.max_value(cols.reduced[i].tolist())[0] != pi0
+                    for i in rest
+                )
+        assert seen["lifts"] >= 300
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_queries_only_positive_coefficients(self, monkeypatch):
+        queries = []
+        lifts = []
+        max_value = IncrementalLiftSolver.max_value
+        lift = lifting_mod._lift
+
+        def counting_max_value(self, reduced):
+            queries.append(reduced)
+            return max_value(self, reduced)
+
+        def recording_lift(cover, cols, on_step=None):
+            result = lift(cover, cols, on_step)
+            lifts.append((cover, result[0]))
+            return result
+
+        monkeypatch.setattr(IncrementalLiftSolver, "max_value", counting_max_value)
+        monkeypatch.setattr(lifting_mod, "_lift", recording_lift)
+        report = run_pipeline(synthetic_project(200, seed=0))
+        positive = sum(
+            sum(c > 0 for c in inequality.coeffs) - len(cover.members)
+            for cover, inequality in lifts
+        )
+        assert len(lifts) == report.stats["constraints_lifted"]
+        assert len(queries) == positive
+        assert len(queries) < report.stats["subproblem_calls"]
 
 
 class TestInferConstraints:
